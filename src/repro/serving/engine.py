@@ -1,17 +1,23 @@
-"""The serving engine: cache → page selection → simulated SSD.
+"""The serving engine: DRAM tier and cache → page selection → simulated SSD.
 
 :class:`ServingEngine` wires a page layout to the full online stack of the
-paper: the DRAM cache absorbs hot keys, the selector picks replica pages
-for the misses, and an executor runs the reads against a simulated device.
+paper.  ``serve_query`` is one pass of stages: the pinned tier and the
+DRAM cache absorb hot keys, a degrade rung may shed keys, the selector
+picks replica pages for the rest, a page cap may truncate the selection,
+the executor runs the reads against a simulated device (with retries and
+replica recovery when a fault plan is set), and the served keys are
+admitted to the cache.  Stages with nothing to do cost nothing.
 ``serve_trace`` simulates a closed-loop multi-threaded client (the paper
-runs 8 serving threads): each simulated thread serves one query at a time,
-all threads share one device, and throughput is queries over makespan.
+runs 8 serving threads): each simulated thread serves one query at a
+time, all threads share one device, and throughput is queries over
+makespan.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 from ..cache import EmbeddingCache
@@ -85,8 +91,8 @@ class EngineConfig:
         raid_members: >1 builds a RAID-0 of that many drives.
         cost_model: CPU charge table for the selection path.
         fault_plan: deterministic fault-injection schedule (None = no
-            injection; the fault machinery stays entirely out of the hot
-            path and serving is bit-identical to a fault-free build).
+            injection and no recovery stage; a zero-rate plan serves
+            bit-identically to None).
         retry: bounded-backoff retry policy for injected read failures
             (only consulted when ``fault_plan`` is set).
         shard_deadline_us: per-shard gather deadline for cluster serving
@@ -269,25 +275,19 @@ class ServingEngine:
             policy=self.config.cache_policy,
         )
         self.device = self._build_device()
-        # The fault path is built only when a plan is configured, so the
-        # fault-free hot path is untouched (bit-identical serving).
+        # The fault path is built only when a plan is configured: the
+        # recovery stage wraps the executor above with retrying reads.
         self._recovery: Optional[RecoveringExecutor] = None
         if self.config.fault_plan is not None:
             if self.config.index_limit is None:
                 full_forward = self.forward
             else:
                 full_forward, _ = build_indexes(layout, limit=None)
-            if self.config.device_command_path != "paged":
-                recovery_mode = self.config.device_command_path
-            else:
-                recovery_mode = self.config.executor
             self._recovery = RecoveringExecutor(
+                self.executor,
                 full_forward,
                 self.invert,
-                cost_model=self.config.cost_model,
                 retry=self.config.retry,
-                mode=recovery_mode,
-                spec=self.config.spec,
             )
         self._closed = False
 
@@ -412,48 +412,105 @@ class ServingEngine:
     ) -> QueryResult:
         """Serve one query starting at ``start_us`` of simulated time.
 
-        ``degrade`` selects a rung of the overload degradation ladder
-        (see :mod:`repro.overload`); None or a no-op rung serves
-        normally through the untouched full-service path.
+        One pass of stages: tier split → cache filter → degrade key-shed
+        → select → page cap → execute (retries and replica recovery under
+        a fault plan) → admit → one :class:`QueryResult`.  ``degrade``
+        selects a rung of the overload degradation ladder (see
+        :mod:`repro.overload`); None or a no-op rung sheds nothing.  Keys
+        a rung drops are reported ``missing`` with the intentional count
+        mirrored in ``degrade_shed_keys``, so coverage accounting is
+        uniform with the fault path's losses.
         """
-        if degrade is not None and not degrade.is_noop:
-            return self._serve_overloaded(query, start_us, degrade)
+        if degrade is not None and degrade.is_noop:
+            degrade = None
         keys = query.unique_keys()
         tier_hits, rest = self._tier_split(keys)
         hits, misses = self.cache.filter_hits(rest)
-        if not misses:
-            finish = start_us + self.config.cost_model.query_base_us
-            return QueryResult(
-                requested_keys=len(keys),
-                cache_hits=len(hits),
-                ssd_keys=0,
-                pages_read=0,
-                valid_per_read=(),
-                start_us=start_us,
-                finish_us=finish,
-                tier_hits=tier_hits,
-            )
-        outcome = self.selector.select(misses)
-        if self._recovery is not None:
-            return self._serve_degradable(
-                outcome, len(keys), len(hits), misses, start_us, tier_hits
-            )
-        execution = self.executor.execute(outcome, self.device, start_us)
-        if self.config.page_grain_admission:
-            self._admit_pages(outcome.pages)
-        else:
-            self.cache.admit(misses)
+        served = misses
+        shed = lost = 0
+        if degrade is not None:
+            served = self._shed(misses, degrade)
+            shed = len(misses) - len(served)
+        covered = served
+        execution = None
+        valid_per_read: tuple = ()
+        retries = failed_reads = recovered_keys = 0
+        if served:
+            outcome = self.selector.select(served)
+            cap = None if degrade is None else degrade.max_pages_per_query
+            if cap is not None and outcome.num_steps > cap:
+                steps = tuple(outcome.steps[:cap])
+                outcome = SelectionOutcome(
+                    steps, sorted_keys=outcome.sorted_keys
+                )
+                covered = [k for step in steps for k in step.covered]
+                shed += len(served) - len(covered)
+            pages_ok = None  # every selected page, unless recovery says less
+            if self._recovery is None:
+                execution = self.executor.execute(
+                    outcome, self.device, start_us
+                )
+                valid_per_read = tuple(outcome.covered_counts)
+            else:
+                degraded = self._recovery.execute(
+                    outcome, self.device, start_us
+                )
+                execution = degraded.execution
+                valid_per_read = degraded.valid_per_read
+                pages_ok = degraded.pages_ok
+                retries = degraded.retries
+                failed_reads = degraded.failed_reads
+                recovered_keys = degraded.recovered_keys
+                if degraded.missing_keys:
+                    missing = set(degraded.missing_keys)
+                    covered = [k for k in covered if k not in missing]
+                    lost = len(missing)
+            if self.config.page_grain_admission:
+                self._admit_pages(
+                    outcome.pages if pages_ok is None else pages_ok
+                )
+            else:
+                self.cache.admit(covered)
         return QueryResult(
             requested_keys=len(keys),
             cache_hits=len(hits),
-            ssd_keys=len(misses),
-            pages_read=execution.pages_read,
-            valid_per_read=tuple(outcome.covered_counts),
+            ssd_keys=len(covered),
+            pages_read=0 if execution is None else execution.pages_read,
+            valid_per_read=valid_per_read,
             start_us=start_us,
-            finish_us=execution.finish_us,
+            finish_us=(
+                start_us + self.config.cost_model.query_base_us
+                if execution is None
+                else execution.finish_us
+            ),
             execution=execution,
+            retries=retries,
+            failed_reads=failed_reads,
+            recovered_keys=recovered_keys,
+            missing_keys=shed + lost,
+            degrade_level=0 if degrade is None else degrade.level,
+            degrade_shed_keys=shed,
             tier_hits=tier_hits,
         )
+
+    def _shed(self, misses, degrade: DegradeLevel):
+        """The degrade key-shed stage: the misses a rung still serves.
+
+        Cache-only serves none; skip-cold serves the keys the layout
+        replicated (counted over the whole layout, not the shrunk index,
+        so ``index_limit`` never makes a replicated key look cold).
+        """
+        if degrade.cache_only:
+            return []
+        if degrade.skip_cold_keys:
+            counts = self._layout_replica_counts
+            return [k for k in misses if counts[k] > 1]
+        return misses
+
+    @cached_property
+    def _layout_replica_counts(self) -> List[int]:
+        """Pages holding each key over the whole layout (computed once)."""
+        return self.layout.replica_counts()
 
     def _admit_pages(self, page_ids) -> None:
         """Page-grain admission; pinned keys stay out of the LRU front."""
@@ -475,155 +532,6 @@ class ServingEngine:
             return 0, keys
         tier_keys, rest = tier.split(keys)
         return len(tier_keys), rest
-
-    def _serve_degradable(
-        self, outcome, requested, hits, misses, start_us, tier_hits=0
-    ) -> QueryResult:
-        """Fault-aware execution: retries, replica recovery, degradation."""
-        degraded = self._recovery.execute(outcome, self.device, start_us)
-        missing = set(degraded.missing_keys)
-        if self.config.page_grain_admission:
-            self._admit_pages(degraded.pages_ok)
-        elif missing:
-            self.cache.admit([k for k in misses if k not in missing])
-        else:
-            self.cache.admit(misses)
-        execution = degraded.execution
-        return QueryResult(
-            requested_keys=requested,
-            cache_hits=hits,
-            ssd_keys=len(misses) - len(missing),
-            pages_read=execution.pages_read,
-            valid_per_read=degraded.valid_per_read,
-            start_us=start_us,
-            finish_us=execution.finish_us,
-            execution=execution,
-            retries=degraded.retries,
-            failed_reads=degraded.failed_reads,
-            recovered_keys=degraded.recovered_keys,
-            missing_keys=len(missing),
-            tier_hits=tier_hits,
-        )
-
-    def _cache_only_result(
-        self,
-        requested: int,
-        hits: int,
-        shed: int,
-        start_us: float,
-        level: int,
-        tier_hits: int = 0,
-    ) -> QueryResult:
-        """A degraded result that never touched the device.
-
-        With a pinned tier the cache-only rung serves tier-1 hits *and*
-        cache hits from DRAM — strictly better coverage than the LRU
-        alone at the same rung.
-        """
-        return QueryResult(
-            requested_keys=requested,
-            cache_hits=hits,
-            ssd_keys=0,
-            pages_read=0,
-            valid_per_read=(),
-            start_us=start_us,
-            finish_us=start_us + self.config.cost_model.query_base_us,
-            missing_keys=shed,
-            degrade_level=level,
-            degrade_shed_keys=shed,
-            tier_hits=tier_hits,
-        )
-
-    def _serve_overloaded(
-        self, query: Query, start_us: float, degrade: DegradeLevel
-    ) -> QueryResult:
-        """Serve one query at a degraded ladder rung.
-
-        The rung bounds what the query may cost: cold (unreplicated)
-        keys may be skipped before selection, the selection outcome may
-        be truncated to ``max_pages_per_query`` reads, or the device may
-        be bypassed entirely (cache-only).  Keys dropped this way are
-        reported ``missing`` with the intentional count mirrored in
-        ``degrade_shed_keys`` — coverage accounting stays uniform with
-        the fault path's losses.
-        """
-        keys = query.unique_keys()
-        tier_hits, rest = self._tier_split(keys)
-        hits, misses = self.cache.filter_hits(rest)
-        if not misses:
-            result = self._cache_only_result(
-                len(keys), len(hits), 0, start_us, degrade.level, tier_hits
-            )
-            return result
-        if degrade.cache_only:
-            served: List[int] = []
-        elif degrade.skip_cold_keys:
-            counts = self.forward.replica_counts()
-            served = [k for k in misses if counts[k] > 1]
-        else:
-            served = misses
-        shed = len(misses) - len(served)
-        if not served:
-            return self._cache_only_result(
-                len(keys),
-                len(hits),
-                len(misses),
-                start_us,
-                degrade.level,
-                tier_hits,
-            )
-        outcome = self.selector.select(served)
-        covered = served
-        cap = degrade.max_pages_per_query
-        if cap is not None and outcome.num_steps > cap:
-            steps = tuple(outcome.steps[:cap])
-            outcome = SelectionOutcome(steps, sorted_keys=outcome.sorted_keys)
-            covered = [k for step in steps for k in step.covered]
-            shed += len(served) - len(covered)
-        if self._recovery is not None:
-            degraded = self._recovery.execute(outcome, self.device, start_us)
-            missing = set(degraded.missing_keys)
-            if self.config.page_grain_admission:
-                self._admit_pages(degraded.pages_ok)
-            else:
-                self.cache.admit([k for k in covered if k not in missing])
-            execution = degraded.execution
-            return QueryResult(
-                requested_keys=len(keys),
-                cache_hits=len(hits),
-                ssd_keys=len(covered) - len(missing),
-                pages_read=execution.pages_read,
-                valid_per_read=degraded.valid_per_read,
-                start_us=start_us,
-                finish_us=execution.finish_us,
-                execution=execution,
-                retries=degraded.retries,
-                failed_reads=degraded.failed_reads,
-                recovered_keys=degraded.recovered_keys,
-                missing_keys=shed + len(missing),
-                degrade_level=degrade.level,
-                degrade_shed_keys=shed,
-                tier_hits=tier_hits,
-            )
-        execution = self.executor.execute(outcome, self.device, start_us)
-        if self.config.page_grain_admission:
-            self._admit_pages(outcome.pages)
-        else:
-            self.cache.admit(covered)
-        return QueryResult(
-            requested_keys=len(keys),
-            cache_hits=len(hits),
-            ssd_keys=len(covered),
-            pages_read=execution.pages_read,
-            valid_per_read=tuple(outcome.covered_counts),
-            start_us=start_us,
-            finish_us=execution.finish_us,
-            execution=execution,
-            missing_keys=shed,
-            degrade_level=degrade.level,
-            degrade_shed_keys=shed,
-            tier_hits=tier_hits,
-        )
 
     # -- whole trace ----------------------------------------------------------------
 

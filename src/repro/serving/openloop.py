@@ -12,9 +12,9 @@ Overload resilience (:mod:`repro.overload`) plugs in here: an
 :class:`~repro.overload.AdmissionConfig` bounds the arrival queue and
 sheds excess work, and a :class:`~repro.overload.BrownoutConfig` runs a
 feedback controller that steps the engine through the degradation
-ladder when the latency signal stays hot.  With both left unset (the
-default) the simulator runs the legacy queue-forever path, bit-identical
-to builds without the overload subsystem.
+ladder when the latency signal stays hot.  Both run in the one
+event-driven loop: with both left unset (the default) the queue is
+unbounded and every query is served at full service.
 """
 
 from __future__ import annotations
@@ -222,8 +222,8 @@ class OpenLoopSimulator:
             duck-typed like one (``config.threads`` + ``serve_query``),
             including a :class:`~repro.cluster.ClusterEngine`.
         seed: arrival-process RNG seed.
-        admission: bounded-queue admission control (None = legacy
-            unbounded queueing).
+        admission: bounded-queue admission control (None = unbounded
+            queueing).
         brownout: degradation feedback controller config (None = never
             degrade).
         ladder: degradation ladder the controller walks (default:
@@ -309,49 +309,8 @@ class OpenLoopSimulator:
             offered_qps = (
                 len(arrivals) / (span * 1e-6) if span > 0 else 0.0
             )
-        if self.admission is None and self.brownout is None:
-            return self._run_legacy(
-                queries, arrivals, offered_qps, warmup_fraction
-            )
         return self._run_admitted(
             queries, arrivals, offered_qps, warmup_fraction
-        )
-
-    def _run_legacy(
-        self,
-        queries: List[Query],
-        arrivals: Sequence[float],
-        offered_qps: float,
-        warmup_fraction: float,
-    ) -> OpenLoopReport:
-        """The original unbounded-queue loop (bit-identical serving)."""
-        # Worker pool as a min-heap of next-free times.
-        workers = [0.0] * self.engine.config.threads
-        heapq.heapify(workers)
-        results: List[OpenLoopResult] = []
-        warmup = int(len(queries) * warmup_fraction)
-        for index, (query, arrival) in enumerate(zip(queries, arrivals)):
-            free_at = heapq.heappop(workers)
-            start = max(float(arrival), free_at)
-            outcome = self.engine.serve_query(query, start_us=start)
-            heapq.heappush(workers, outcome.finish_us)
-            if index >= warmup:
-                results.append(
-                    OpenLoopResult(
-                        arrival_us=float(arrival),
-                        start_us=start,
-                        finish_us=outcome.finish_us,
-                        requested_keys=outcome.requested_keys,
-                        missing_keys=outcome.missing_keys,
-                        degrade_level=outcome.degrade_level,
-                        retries=outcome.retries,
-                        recovered_keys=outcome.recovered_keys,
-                    )
-                )
-        return OpenLoopReport(
-            offered_qps=offered_qps,
-            results=results,
-            offered=len(queries) - warmup,
         )
 
     def _run_admitted(
@@ -361,13 +320,12 @@ class OpenLoopSimulator:
         offered_qps: float,
         warmup_fraction: float,
     ) -> OpenLoopReport:
-        """Event-driven loop with admission control and/or brownout.
+        """Event-driven loop with admission control and brownout.
 
-        Semantics match :meth:`_run_legacy` exactly when the admission
-        queue is unbounded and the controller never leaves level 0 (the
-        parity tests pin this): requests dispatch in arrival order to
-        the earliest-free worker, starting at
-        ``max(arrival, worker_free)``.
+        Requests dispatch in arrival order to the earliest-free worker,
+        starting at ``max(arrival, worker_free)``.  With no admission
+        config the queue is unbounded, and with no brownout config every
+        query is served at full service.
         """
         queue = AdmissionQueue(self.admission)
         controller = (

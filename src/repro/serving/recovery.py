@@ -1,26 +1,25 @@
 """Fault-tolerant query execution: retries, backoff, replica recovery.
 
-:class:`RecoveringExecutor` is the fault-aware counterpart of the plain
-executors in :mod:`repro.serving.executor`.  It walks the same selection
-outcome with the same cost model and the same submit/backpressure logic
-— with a no-fault device its timing is bit-identical to
-:class:`~repro.serving.executor.PipelinedExecutor` /
-:class:`~repro.serving.executor.SerialExecutor` — but every read passes
-through a bounded retry loop, and reads that ultimately fail trigger
-**replica-aware recovery**:
+:class:`RecoveringExecutor` wraps the engine's own executor and adds
+exactly two things to it:
 
-1. Keys lost with a failed page are first checked against the pages that
-   *did* transfer: a co-resident replica on any successfully read page
-   serves the key at zero extra cost (the page is already in DRAM).
-2. Still-lost keys are re-selected through the *full* (never-shrunk)
-   forward index — exactly the alternate locations MaxEmbed's selective
-   replication creates — skipping pages already known to have failed.
-3. Keys with no surviving page are reported **missing** in the degraded
-   result instead of raising; the caller accounts them and serves the
-   rest of the trace.
+* **Retrying reads** (:class:`RetryingReads`): the executor's timing
+  model runs unchanged over the same read interface, with a bounded
+  retry loop behind it.  A failed entry of a batch restarts per page at
+  attempt 1 with a full retry budget; a failed gather is retried whole,
+  then read page by page from one past its last attempt.
+* **Replica recovery** for the keys of pages that still failed, before
+  the query finishes: keys co-resident on a page that *did* transfer
+  are served from it for free; the rest are re-selected through the
+  *full* (never-shrunk) forward index — the alternate locations
+  MaxEmbed's selective replication creates — skipping pages known to
+  have failed.  Keys with no surviving page are reported **missing**
+  instead of raising.
 
-All retry backoff is charged in simulated time, so fault handling shows
-up in latency percentiles exactly like real tail amplification would.
+Backoff is charged in simulated time, so fault handling shows up in
+latency percentiles like real tail amplification.  ``pages_read`` counts
+transfers, corrupt ones included.  With a device that injects nothing,
+timing is bit-identical to the wrapped executor's.
 """
 
 from __future__ import annotations
@@ -29,12 +28,9 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..errors import ConfigError, DeviceFault
-from ..faults.device import FaultySsd
 from ..placement import ForwardIndex, InvertIndex
-from ..ssd.commands import ReadCommand
-from ..types import EmbeddingSpec
-from .cost_model import CpuCostModel
-from .executor import ExecutionResult, Executor, build_gather_command
+from ..ssd.commands import GatherCommand
+from .executor import DeviceReads, ExecutionResult, Executor, stall
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,6 @@ class DegradedExecution:
         failed_reads: logical reads abandoned after exhausting retries.
         wasted_reads: transfers that completed but failed their
             integrity check (bandwidth consumed, no data delivered).
-        replacement_reads: successful reads of alternate replica pages.
         recovered_keys: lost keys served via a replica (free co-resident
             or replacement read).
         missing_keys: keys with no surviving page, in process order.
@@ -100,315 +95,161 @@ class DegradedExecution:
     retries: int
     failed_reads: int
     wasted_reads: int
-    replacement_reads: int
     recovered_keys: int
     missing_keys: Tuple[int, ...]
 
-    @property
-    def degraded(self) -> bool:
-        """True when at least one key could not be served."""
-        return bool(self.missing_keys)
+
+class RetryingReads:
+    """:class:`~repro.serving.executor.DeviceReads` with bounded retries.
+
+    One instance serves one query.  A read that still fails after its
+    retries comes back as None and its page joins :attr:`failed`.  The
+    device must be fault-aware (:class:`~repro.faults.FaultySsd`):
+    attempt-numbered submissions and an ``is_corrupt`` verdict.  Each
+    re-submission charges the submit overhead before any queue stall,
+    as a first submission does.
+    """
+
+    __slots__ = ("retry", "failed", "retries", "wasted")
+
+    def __init__(self, retry: RetryPolicy) -> None:
+        self.retry = retry
+        self.failed = set()
+        self.retries = 0
+        self.wasted = 0
+
+    def _check(self, device, result, now_us: float):
+        """``(completion or None, clock, worth retrying)`` for one attempt."""
+        if isinstance(result, DeviceFault):
+            now_us = max(now_us, result.failed_at_us)
+            return None, now_us, result.kind != "dead_page"
+        if device.is_corrupt(result):
+            # The transfer happened: the clock waits for it to arrive.
+            self.wasted += 1
+            return None, max(now_us, result.completed_at_us), True
+        return result, now_us, False
+
+    def _backoff(self, device, now_us: float, attempt: int) -> float:
+        """Back off after failed attempt ``attempt``; pay the resubmission."""
+        self.retries += 1
+        now_us += self.retry.backoff_for(attempt)
+        return now_us + device.submit_overhead_us
+
+    def page(self, device, page_id: int, now_us: float, start: int = 0):
+        """Read ``page_id`` from attempt ``start`` with a full retry budget."""
+        attempt = start
+        while True:
+            if device.inflight >= device.queue_depth:
+                now_us = stall(device, now_us)
+            try:
+                result = device.submit_read(page_id, now_us, attempt)
+            except DeviceFault as fault:
+                result = fault
+            completion, now_us, retriable = self._check(device, result, now_us)
+            if completion is not None:
+                return completion, now_us
+            if not retriable or attempt - start >= self.retry.max_retries:
+                self.failed.add(page_id)
+                return None, now_us
+            now_us = self._backoff(device, now_us, attempt - start)
+            attempt += 1
+
+    def batch(self, device, commands, now_us: float):
+        """Submit the batch once; settle each failed entry on its own."""
+        results, now_us = DeviceReads.batch(device, commands, now_us)
+        for index, command in enumerate(commands):
+            if isinstance(command, GatherCommand):
+                results[index], now_us = self._gather(
+                    device, command, results[index], now_us
+                )
+                continue
+            completion, now_us, retriable = self._check(
+                device, results[index], now_us
+            )
+            if completion is None:
+                if retriable and self.retry.max_retries:
+                    now_us = self._backoff(device, now_us, 0)
+                    completion, now_us = self.page(
+                        device, command.page_id, now_us, start=1
+                    )
+                else:
+                    self.failed.add(command.page_id)
+            results[index] = completion
+        return results, now_us
+
+    def _gather(self, device, command: GatherCommand, result, now_us):
+        """Retry a gather whole; when it keeps failing, read page by page.
+
+        A dead page poisons every gather attempt, so the per-page
+        fallback starts one past the gather's last attempt and returns
+        the latest completion it delivered.
+        """
+        attempt = 0
+        while True:
+            completion, now_us, retriable = self._check(device, result, now_us)
+            if completion is not None:
+                return completion, now_us
+            if not retriable or attempt >= self.retry.max_retries:
+                break
+            now_us = self._backoff(device, now_us, attempt)
+            attempt += 1
+            if device.inflight >= device.queue_depth:
+                now_us = stall(device, now_us)
+            try:
+                result = device.submit_gather(command, now_us, attempt)
+            except DeviceFault as fault:
+                result = fault
+        done = []
+        for page_id in command.page_ids:
+            now_us += device.submit_overhead_us
+            completion, now_us = self.page(
+                device, page_id, now_us, start=attempt + 1
+            )
+            if completion is not None:
+                done.append(completion)
+        latest = max(done, key=lambda c: c.completed_at_us, default=None)
+        return latest, now_us
 
 
 class RecoveringExecutor:
-    """Executes a selection outcome with retries and replica recovery.
+    """Runs an executor's timing model with retries and replica recovery.
 
     Args:
+        executor: the timing model to run (the engine's own executor).
         full_forward: the **unshrunk** forward index (every page holding
             each key) — the replica map recovery re-selects from.
         invert: the layout's invert index (page → co-resident keys).
-        cost_model: CPU charge table (same as the plain executors).
         retry: bounded-backoff retry policy.
-        mode: ``"pipelined"``, ``"serial"``, ``"batched"`` or ``"ndp"``
-            — mirrors the timing model of the corresponding plain
-            executor.  The batched mode submits the initial read wave as
-            one batch (faults come back inline and are retried
-            per-page); the ndp mode retries the whole gather, falling
-            back to per-page reads when it keeps failing.
-        spec: embedding geometry (ndp mode only — sizes the gather's
-            candidate scan and payload).
     """
 
     def __init__(
         self,
+        executor: Executor,
         full_forward: ForwardIndex,
         invert: InvertIndex,
-        cost_model: "CpuCostModel | None" = None,
         retry: "RetryPolicy | None" = None,
-        mode: str = "pipelined",
-        spec: "EmbeddingSpec | None" = None,
     ) -> None:
-        if mode not in ("pipelined", "serial", "batched", "ndp"):
-            raise ConfigError(
-                f"mode must be pipelined|serial|batched|ndp, got {mode!r}"
-            )
+        self.executor = executor
         self.full_forward = full_forward
         self.invert = invert
-        self.cost_model = cost_model or CpuCostModel()
         self.retry = retry or RetryPolicy()
-        self.mode = mode
-        self.spec = spec
-
-    # -- one fault-aware read ----------------------------------------------------
-
-    def _read_with_retry(
-        self, device, page_id: int, now_us: float, start_attempt: int = 0
-    ):
-        """Read ``page_id`` with backpressure, retries, and backoff.
-
-        Returns ``(completion_or_None, now_us, retries, wasted_reads)``;
-        ``None`` means the read was abandoned after exhausting retries.
-        Corrupt completions are detected at their (simulated) arrival, so
-        a corrupt read synchronizes the clock to its completion before
-        the retry — the caller paid for the full wasted transfer.
-
-        ``start_attempt`` offsets the injector's per-attempt draw
-        coordinates past attempts already consumed elsewhere (a failed
-        batch or gather submission burnt attempt numbers below it); the
-        retry *budget* and backoff schedule are relative to it, so the
-        page still gets a full set of retries.
-        """
-        attempt_aware = isinstance(device, FaultySsd)
-        overhead = getattr(device, "submit_overhead_us", 0.0)
-        attempt = start_attempt
-        retries = 0
-        wasted = 0
-        while True:
-            while device.inflight >= device.queue_depth:
-                next_done = device.next_completion_time()
-                if next_done is None:  # pragma: no cover - inflight implies one
-                    break
-                now_us = max(now_us, next_done)
-                device.poll(now_us)
-            now_us += overhead
-            try:
-                if attempt_aware:
-                    completion = device.submit_read(page_id, now_us, attempt)
-                else:
-                    completion = device.submit_read(page_id, now_us)
-            except DeviceFault as fault:
-                now_us = max(now_us, fault.failed_at_us)
-                if (
-                    fault.kind == "dead_page"
-                    or attempt - start_attempt >= self.retry.max_retries
-                ):
-                    return None, now_us, retries, wasted
-                now_us += self.retry.backoff_for(attempt - start_attempt)
-                attempt += 1
-                retries += 1
-                continue
-            if attempt_aware and device.is_corrupt(completion):
-                wasted += 1
-                now_us = max(now_us, completion.completed_at_us)
-                if attempt - start_attempt >= self.retry.max_retries:
-                    return None, now_us, retries, wasted
-                now_us += self.retry.backoff_for(attempt - start_attempt)
-                attempt += 1
-                retries += 1
-                continue
-            return completion, now_us, retries, wasted
-
-    # -- initial waves for the batched command paths ----------------------------
-
-    def _batched_wave(
-        self, device, steps, now, last_completion,
-        valid_counts, pages_ok, failed_pages, lost_order,
-    ):
-        """Submit the whole read wave as one batch; retry stragglers.
-
-        With a :class:`~repro.faults.device.FaultySsd` underneath, the
-        batch comes back as a mix of completions and inline
-        :class:`~repro.errors.DeviceFault` entries; each faulted or
-        corrupt entry is resubmitted per-page starting at attempt 1
-        (the batch consumed every page's attempt-0 draw).
-        """
-        retries = 0
-        failed_reads = 0
-        wasted_reads = 0
-        attempt_aware = isinstance(device, FaultySsd)
-        now += getattr(device, "submit_overhead_us", 0.0)
-        commands = [ReadCommand(step.page_id) for step in steps]
-        results, now = Executor._submit_batch_with_backpressure(
-            device, commands, now
-        )
-        for step, result in zip(steps, results):
-            completion = result
-            if isinstance(result, DeviceFault):
-                now = max(now, result.failed_at_us)
-                if result.kind == "dead_page" or self.retry.max_retries == 0:
-                    completion = None
-                else:
-                    now += self.retry.backoff_for(0)
-                    retries += 1
-                    completion, now, r, w = self._read_with_retry(
-                        device, step.page_id, now, start_attempt=1
-                    )
-                    retries += r
-                    wasted_reads += w
-            elif attempt_aware and device.is_corrupt(result):
-                wasted_reads += 1
-                now = max(now, result.completed_at_us)
-                if self.retry.max_retries == 0:
-                    completion = None
-                else:
-                    now += self.retry.backoff_for(0)
-                    retries += 1
-                    completion, now, r, w = self._read_with_retry(
-                        device, step.page_id, now, start_attempt=1
-                    )
-                    retries += r
-                    wasted_reads += w
-            if completion is None:
-                failed_reads += 1
-                failed_pages.add(step.page_id)
-                lost_order.extend(step.covered)
-            else:
-                last_completion = max(
-                    last_completion, completion.completed_at_us
-                )
-                valid_counts.append(len(step.covered))
-                pages_ok.append(step.page_id)
-        return now, last_completion, retries, failed_reads, wasted_reads
-
-    def _gather_wave(
-        self, outcome, device, now, last_completion,
-        valid_counts, pages_ok, failed_pages, lost_order,
-    ):
-        """Submit the query as one gather; retry whole, then per-page.
-
-        A gather is all-or-nothing, so a fault retries the *whole*
-        command (``wasted_reads`` counts corrupt gathers at command
-        grain).  When it keeps failing — a dead page poisons every
-        attempt — the wave falls back to plain per-page reads, with
-        attempt numbers offset past the draws the gathers consumed.
-        """
-        retries = 0
-        failed_reads = 0
-        wasted_reads = 0
-        steps = outcome.steps
-        attempt_aware = isinstance(device, FaultySsd)
-        overhead = getattr(device, "submit_overhead_us", 0.0)
-        command = build_gather_command(outcome, self.spec)
-        attempt = 0
-        completion = None
-        while True:
-            while device.inflight >= device.queue_depth:
-                next_done = device.next_completion_time()
-                if next_done is None:  # pragma: no cover - inflight implies one
-                    break
-                now = max(now, next_done)
-                device.poll(now)
-            now += overhead
-            try:
-                if attempt_aware:
-                    result = device.submit_gather(command, now, attempt)
-                else:
-                    result = device.submit_gather(command, now)
-            except DeviceFault as fault:
-                now = max(now, fault.failed_at_us)
-                if (
-                    fault.kind == "dead_page"
-                    or attempt >= self.retry.max_retries
-                ):
-                    break
-                now += self.retry.backoff_for(attempt)
-                attempt += 1
-                retries += 1
-                continue
-            if attempt_aware and device.is_corrupt(result):
-                wasted_reads += 1
-                now = max(now, result.completed_at_us)
-                if attempt >= self.retry.max_retries:
-                    break
-                now += self.retry.backoff_for(attempt)
-                attempt += 1
-                retries += 1
-                continue
-            completion = result
-            break
-        if completion is not None:
-            last_completion = max(last_completion, completion.completed_at_us)
-            for step in steps:
-                valid_counts.append(len(step.covered))
-                pages_ok.append(step.page_id)
-            return now, last_completion, retries, failed_reads, wasted_reads
-        start = attempt + 1
-        for step in steps:
-            completion, now, r, w = self._read_with_retry(
-                device, step.page_id, now, start_attempt=start
-            )
-            retries += r
-            wasted_reads += w
-            if completion is None:
-                failed_reads += 1
-                failed_pages.add(step.page_id)
-                lost_order.extend(step.covered)
-            else:
-                last_completion = max(
-                    last_completion, completion.completed_at_us
-                )
-                valid_counts.append(len(step.covered))
-                pages_ok.append(step.page_id)
-        return now, last_completion, retries, failed_reads, wasted_reads
-
-    # -- full query --------------------------------------------------------------
 
     def execute(self, outcome, device, start_us: float) -> DegradedExecution:
         """Run ``outcome`` on ``device``; degrade instead of raising."""
-        cost = self.cost_model
-        steps = outcome.steps
-        sort_us = cost.sort_time_us(outcome.sorted_keys)
-        now = start_us + cost.query_base_us + sort_us
-        selection_us = 0.0
-        if self.mode in ("serial", "batched", "ndp"):
-            selection_us = cost.selection_time_us(outcome)
-            now += selection_us
-        last_completion = now
-        retries = 0
-        failed_reads = 0
-        wasted_reads = 0
-        valid_counts: List[int] = []
+        reads = RetryingReads(self.retry)
+        run = self.executor.dispatch(outcome, device, start_us, reads)
+        failed = reads.failed
         pages_ok: List[int] = []
-        failed_pages = set()
+        valid_counts: List[int] = []
         lost_order: List[int] = []
-        if self.mode == "batched" and steps:
-            (
-                now, last_completion, retries, failed_reads, wasted_reads
-            ) = self._batched_wave(
-                device, steps, now, last_completion,
-                valid_counts, pages_ok, failed_pages, lost_order,
-            )
-        elif self.mode == "ndp" and steps:
-            (
-                now, last_completion, retries, failed_reads, wasted_reads
-            ) = self._gather_wave(
-                outcome, device, now, last_completion,
-                valid_counts, pages_ok, failed_pages, lost_order,
-            )
-        else:
-            for step in steps:
-                if self.mode == "pipelined":
-                    cpu = cost.step_time_us(step.candidates_examined)
-                    selection_us += cpu
-                    now += cpu
-                completion, now, r, w = self._read_with_retry(
-                    device, step.page_id, now
-                )
-                retries += r
-                wasted_reads += w
-                if completion is None:
-                    failed_reads += 1
-                    failed_pages.add(step.page_id)
-                    lost_order.extend(step.covered)
-                else:
-                    last_completion = max(
-                        last_completion, completion.completed_at_us
-                    )
-                    valid_counts.append(len(step.covered))
-                    pages_ok.append(step.page_id)
+        for step in outcome.steps:
+            if step.page_id in failed:
+                lost_order.extend(step.covered)
+            else:
+                pages_ok.append(step.page_id)
+                valid_counts.append(len(step.covered))
         recovered = 0
         missing: List[int] = []
-        replacement_reads = 0
         if lost_order:
             # Free recovery: a successfully transferred page holds every
             # co-resident key, not only the ones selection assigned it.
@@ -416,32 +257,26 @@ class RecoveringExecutor:
             for page in pages_ok:
                 available |= self.invert.key_set(page)
             lost = [k for k in lost_order if k not in available]
-            recovered += len(lost_order) - len(lost)
+            recovered = len(lost_order) - len(lost)
+            step_time_us = self.executor.cost_model.step_time_us
+            overhead = device.submit_overhead_us
+            now, last = run.now, run.last
             remaining = dict.fromkeys(lost)
             while remaining:
                 key = next(iter(remaining))
                 alternates = self.full_forward.pages_of(key)
-                cpu = cost.step_time_us(len(alternates))
-                selection_us += cpu
+                cpu = step_time_us(len(alternates))
+                run.selection_us += cpu
                 now += cpu
-                served = False
                 for alt in alternates:
-                    if alt in failed_pages:
+                    if alt in failed:
                         continue
-                    completion, now, r, w = self._read_with_retry(
-                        device, alt, now
-                    )
-                    retries += r
-                    wasted_reads += w
+                    now += overhead
+                    completion, now = reads.page(device, alt, now)
                     if completion is None:
-                        failed_reads += 1
-                        failed_pages.add(alt)
                         continue
-                    replacement_reads += 1
                     pages_ok.append(alt)
-                    last_completion = max(
-                        last_completion, completion.completed_at_us
-                    )
+                    last = max(last, completion.completed_at_us)
                     cover = [
                         k
                         for k in self.invert.sorted_keys_of(alt)
@@ -451,35 +286,19 @@ class RecoveringExecutor:
                         del remaining[k]
                     recovered += len(cover)
                     valid_counts.append(len(cover))
-                    served = True
                     break
-                if not served:
+                else:
                     missing.append(key)
                     del remaining[key]
-        if self.mode == "pipelined":
-            finish = max(now, last_completion)
-            io_wait = max(0.0, finish - now)
-        else:
-            finish = max(now, last_completion)
-            io_wait = max(0.0, last_completion - now)
-        device.poll(finish)
-        transfers = len(pages_ok) + wasted_reads
-        execution = ExecutionResult(
-            start_us=start_us,
-            finish_us=finish,
-            sort_us=sort_us,
-            selection_us=selection_us,
-            io_wait_us=io_wait,
-            pages_read=transfers,
-        )
+            run.now, run.last = now, last
+        run.pages_read = len(pages_ok) + reads.wasted
         return DegradedExecution(
-            execution=execution,
+            execution=run.finish(device),
             valid_per_read=tuple(valid_counts),
             pages_ok=tuple(pages_ok),
-            retries=retries,
-            failed_reads=failed_reads,
-            wasted_reads=wasted_reads,
-            replacement_reads=replacement_reads,
+            retries=reads.retries,
+            failed_reads=len(failed),
+            wasted_reads=reads.wasted,
             recovered_keys=recovered,
             missing_keys=tuple(missing),
         )

@@ -13,6 +13,7 @@ the command-path change of who talks to the device:
   missing`` holds per query on every path, whatever the draw.
 """
 
+import dataclasses
 import os
 
 import hypothesis.strategies as st
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import (
+    P5800X,
     EngineConfig,
     FaultPlan,
     PageLayout,
@@ -33,6 +35,10 @@ from repro import (
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 PATHS = ["batched", "ndp"]
+
+# Per-command submit overhead plus a two-deep queue: submissions stall,
+# so the order of the overhead charge and the stall shows in the timing.
+STALLING = dataclasses.replace(P5800X, submit_overhead_us=1.0, queue_depth=2)
 
 REPLICATED_PAGES = [
     (0, 1, 2, 3),
@@ -53,19 +59,30 @@ def holders(key: int):
 
 
 class TestFaultFreeParity:
-    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize(
+        "path, profile",
+        [pytest.param(path, P5800X, id=path) for path in PATHS]
+        + [
+            pytest.param(path, STALLING, id=f"{path}-stalling")
+            for path in PATHS
+        ],
+    )
     def test_no_op_plan_is_bit_identical(
-        self, path, maxembed_layout_small, criteo_small
+        self, path, profile, maxembed_layout_small, criteo_small
     ):
         _, live = criteo_small
         queries = list(live)[:200]
         baseline = ServingEngine(
             maxembed_layout_small,
-            EngineConfig(device_command_path=path),
+            EngineConfig(device_command_path=path, profile=profile),
         )
         guarded = ServingEngine(
             maxembed_layout_small,
-            EngineConfig(device_command_path=path, fault_plan=FaultPlan()),
+            EngineConfig(
+                device_command_path=path,
+                profile=profile,
+                fault_plan=FaultPlan(),
+            ),
         )
         assert baseline.serve_trace(queries) == guarded.serve_trace(queries)
 

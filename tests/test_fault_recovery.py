@@ -12,6 +12,7 @@ The recovery contract under test:
   every query).
 """
 
+import dataclasses
 import os
 
 import hypothesis.strategies as st
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import (
+    P5800X,
     EngineConfig,
     FaultPlan,
     PageLayout,
@@ -30,6 +32,10 @@ from repro import (
 # CI's chaos job sweeps this to replay the suite under different fault
 # draws; the properties under test are seed-independent.
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
+
+# Per-command submit overhead plus a two-deep queue: submissions stall,
+# so the order of the overhead charge and the stall shows in the timing.
+STALLING = dataclasses.replace(P5800X, submit_overhead_us=1.0, queue_depth=2)
 
 # A small layout with real replicas: four base pages partition the 16
 # keys, two replica pages duplicate one key from each base page.
@@ -53,20 +59,31 @@ def holders(key: int):
 
 
 class TestFaultFreeParity:
-    @pytest.mark.parametrize("executor", ["pipelined", "serial"])
+    @pytest.mark.parametrize(
+        "executor, profile",
+        [
+            pytest.param("pipelined", P5800X, id="pipelined"),
+            pytest.param("serial", P5800X, id="serial"),
+            pytest.param("pipelined", STALLING, id="pipelined-stalling"),
+            pytest.param("serial", STALLING, id="serial-stalling"),
+        ],
+    )
     def test_no_op_plan_is_bit_identical(
-        self, executor, maxembed_layout_small, criteo_small
+        self, executor, profile, maxembed_layout_small, criteo_small
     ):
         _, live = criteo_small
         baseline = ServingEngine(
-            maxembed_layout_small, EngineConfig(executor=executor)
+            maxembed_layout_small,
+            EngineConfig(executor=executor, profile=profile),
         )
         # FaultPlan() injects nothing, but its mere presence routes every
         # query through the recovery executor — which must reproduce the
         # plain executor's timing exactly.
         guarded = ServingEngine(
             maxembed_layout_small,
-            EngineConfig(executor=executor, fault_plan=FaultPlan()),
+            EngineConfig(
+                executor=executor, profile=profile, fault_plan=FaultPlan()
+            ),
         )
         queries = list(live)[:200]
         assert baseline.serve_trace(queries) == guarded.serve_trace(queries)

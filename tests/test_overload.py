@@ -370,6 +370,24 @@ class TestEngineDegradedModes:
         assert result.missing_keys == 4
         assert result.degrade_shed_keys == 4
 
+    @pytest.mark.parametrize("index_limit", [1, 2, None])
+    def test_skip_cold_counts_replicas_over_the_layout(self, index_limit):
+        # Page 2 replicates page 0, so keys 0-3 have two copies.  A
+        # forward index shrunk to k=1 lists one page per key; the rung
+        # must still see the replicas and shed only the cold keys 4/5.
+        layout = PageLayout(
+            8, 4, [(0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 2, 3)],
+            num_base_pages=2,
+        )
+        engine = ServingEngine(
+            layout, EngineConfig(cache_ratio=0.0, index_limit=index_limit)
+        )
+        rung = DegradeLevel(level=2, name="hot-only", skip_cold_keys=True)
+        result = engine.serve_query(Query((0, 1, 4, 5)), degrade=rung)
+        assert result.ssd_keys == 2
+        assert result.degrade_shed_keys == 2
+        assert result.missing_keys == 2
+
     def test_generous_cap_keeps_full_coverage(self, engine):
         rung = DegradeLevel(level=1, name="capped", max_pages_per_query=8)
         result = engine.serve_query(self.QUERY, degrade=rung)
